@@ -68,6 +68,14 @@ CFG = FixedPointConfig()
 # structural drift exactly.
 DEFAULT_TOLERANCE = 0.10
 _ABS_SLACK_S = 2.5e-4
+# The offline gate's tolerance never drops below this. The calibration
+# workload is word-op bound and tracks the DReLU kernels, but bundle
+# generation is RNG and allocation bound and does not follow it: on a
+# 2-vCPU VM the calibration alone moved between 1.07 and 1.70 ms from
+# process to process, and the normalised per-bundle time of 16 runs
+# strayed up to 25% from the snapshot. The gate is there to catch a
+# return to bit-plane draws (14x), not a few percent.
+_OFFLINE_MIN_TOLERANCE = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -516,7 +524,15 @@ def render_serve_report(report: dict) -> str:
 
 def run_serve_from_args(args) -> int:
     """Execute the placement bench for a parsed argument namespace."""
-    report = bench_serve_placements(args.requests)
+    snapshot = None
+    requests = args.requests
+    if args.check:
+        with open(args.check) as handle:
+            snapshot = json.load(handle)
+        # The logits hash covers the whole seeded request stream, so the
+        # check replays the snapshot's stream length.
+        requests = snapshot["requests"]
+    report = bench_serve_placements(requests)
     if args.json:
         print(json.dumps(report, indent=2))
     else:
@@ -526,9 +542,7 @@ def run_serve_from_args(args) -> int:
             json.dump(report, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.output}")
-    if args.check:
-        with open(args.check) as handle:
-            snapshot = json.load(handle)
+    if snapshot is not None:
         tolerance = (
             args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
         )
@@ -575,8 +589,10 @@ def check_snapshot(
 
     Returns a list of human-readable failures (empty = pass). Byte
     metrics are deterministic and must match exactly when both runs use
-    the same representation; DReLU latency is compared after machine
-    normalisation via the calibration workload.
+    the same representation; DReLU/ReLU online latency and, when both
+    runs include the resnet20 serve, its offline generation time per
+    bundle are compared after machine normalisation via the calibration
+    workload (the offline gate with a tolerance of at least 50%).
     """
     failures: list[str] = []
     if fresh.get("boolean_words_packed") != snapshot.get("boolean_words_packed"):
@@ -621,19 +637,32 @@ def check_snapshot(
         )
 
     scale = fresh["calibration_s"] / max(snapshot["calibration_s"], 1e-9)
-    for op in ("drelu", "relu"):
-        budget = (
-            snapshot["ops"][op]["online_s"] * scale * (1.0 + tolerance)
-            + _ABS_SLACK_S
-        )
-        measured = fresh["ops"][op]["online_s"]
+
+    def gate(what: str, measured: float, recorded: float, allowed: float) -> None:
+        budget = recorded * scale * (1.0 + allowed) + _ABS_SLACK_S
         if measured > budget:
             failures.append(
-                f"{op} online latency regressed: {measured * 1e3:.2f} ms vs "
-                f"budget {budget * 1e3:.2f} ms (snapshot "
-                f"{snapshot['ops'][op]['online_s'] * 1e3:.2f} ms, machine "
-                f"scale x{scale:.2f}, tolerance {tolerance:.0%})"
+                f"{what} regressed: {measured * 1e3:.2f} ms vs budget "
+                f"{budget * 1e3:.2f} ms (snapshot {recorded * 1e3:.2f} ms, "
+                f"machine scale x{scale:.2f}, tolerance {allowed:.0%})"
             )
+
+    for op in ("drelu", "relu"):
+        gate(
+            f"{op} online latency",
+            fresh["ops"][op]["online_s"],
+            snapshot["ops"][op]["online_s"],
+            tolerance,
+        )
+    if "serve" in fresh and "serve" in snapshot:
+        # The offline phase: dealer generation per bundle (one bundle
+        # per served request), so snapshots of different lengths compare.
+        gate(
+            "serve offline generation per bundle",
+            fresh["serve"]["offline_s"] / fresh["serve"]["requests"],
+            snapshot["serve"]["offline_s"] / snapshot["serve"]["requests"],
+            max(tolerance, _OFFLINE_MIN_TOLERANCE),
+        )
     return failures
 
 

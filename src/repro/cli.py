@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SNAPSHOT",
         help="with --placements: compare against a committed snapshot; "
-        "exit 1 on regression (implies --placements)",
+        "exit 1 on regression (implies --placements; replays the "
+        "snapshot's request count, ignoring --requests)",
     )
     bench.add_argument(
         "--tolerance",

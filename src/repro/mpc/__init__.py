@@ -88,7 +88,6 @@ from .transport import (
 from .sharing import (
     COMPARISON_BITS,
     LOW63_MASK,
-    bit_decompose,
     pack_bit_words,
     reconstruct_additive,
     reconstruct_boolean,
@@ -110,7 +109,6 @@ __all__ = [
     "reconstruct_boolean_words",
     "pack_bit_words",
     "unpack_bit_words",
-    "bit_decompose",
     "COMPARISON_BITS",
     "LOW63_MASK",
     "TrustedDealer",

@@ -26,7 +26,8 @@ import numpy as np
 from .fixedpoint import FixedPointConfig
 from .sharing import (
     COMPARISON_BITS,
-    bit_decompose,
+    LOW63_MASK,
+    random_words,
     share_additive,
     share_boolean,
     share_boolean_words,
@@ -38,8 +39,16 @@ __all__ = [
     "DaBit",
     "ComparisonMask",
     "LinearCorrelation",
+    "MATERIAL_STREAM",
     "TrustedDealer",
 ]
+
+#: Version of the dealer's draw order. Version 2 draws packed 63-lane
+#: words natively; version 1 drew one uint8 bit plane per lane and
+#: packed. The same seed yields different material under each, so the
+#: version is part of the program manifest (and with it the fingerprint
+#: that keys stored bundles and the dealer handshake).
+MATERIAL_STREAM = 2
 
 
 @dataclass
@@ -149,24 +158,21 @@ class TrustedDealer:
 
         ``shape`` is the *element* shape: each element receives one
         ``uint64`` triple word whose low 63 lanes are independent AND
-        triples (lane 63 is zero). The underlying randomness is drawn
-        bit-plane-wise — exactly the draws the byte-per-bit seed
-        implementation made for ``(*shape, 63)`` — so the dealer's rng
-        stream (and with it every downstream arithmetic draw) is
-        unchanged by the packing. ``bit_triples_issued`` keeps counting
-        AND *gates* (63 per word), the unit the serving metrics have
-        always reported.
+        triples (lane 63 is zero). Material stream v2: ``a``, ``b`` and
+        each share-0 word are single 63-lane word draws and
+        ``c = a & b`` is one word op, in the order a, b, then the
+        share-0 words of a, b and c. ``bit_triples_issued`` keeps
+        counting AND *gates* (63 per word), the unit the serving metrics
+        have always reported.
         """
         rng = self._rng
-        bit_shape = (*tuple(shape), COMPARISON_BITS)
-        a = rng.integers(0, 2, size=bit_shape, dtype=np.uint8)
-        b = rng.integers(0, 2, size=bit_shape, dtype=np.uint8)
-        c = (a & b).astype(np.uint8)
+        a = random_words(rng, shape)
+        b = random_words(rng, shape)
         self.bit_triples_issued += int(np.prod(shape)) * COMPARISON_BITS
         return BitTriple(
             a=share_boolean_words(a, rng),
             b=share_boolean_words(b, rng),
-            c=share_boolean_words(c, rng),
+            c=share_boolean_words(a & b, rng),
         )
 
     def dabits(self, shape) -> DaBit:
@@ -180,15 +186,18 @@ class TrustedDealer:
         )
 
     def comparison_masks(self, shape) -> ComparisonMask:
-        """Masks for the masked-reveal DReLU protocol (packed low bits)."""
+        """Masks for the masked-reveal DReLU protocol (packed low bits).
+
+        Draw order: ``r``, its additive share 0, the share-0 word of
+        ``r & LOW63_MASK``, then the MSB share-0 bits.
+        """
         rng = self._rng
         r = FixedPointConfig.random_ring(rng, shape)
-        low = bit_decompose(r, COMPARISON_BITS)
-        msb = ((r >> np.uint64(63)) & np.uint64(1)).astype(np.uint8)
+        msb = (r >> np.uint64(63)).astype(np.uint8)
         self.comparison_masks_issued += int(np.prod(shape))
         return ComparisonMask(
             r_shares=share_additive(r, rng),
-            low_bits=share_boolean_words(low, rng),
+            low_bits=share_boolean_words(r & LOW63_MASK, rng),
             msb=share_boolean(msb, rng),
         )
 

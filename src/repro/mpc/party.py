@@ -37,6 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.functional import im2col
+from .dealer import MATERIAL_STREAM
 from .fixedpoint import DEFAULT_CONFIG, FixedPointConfig
 from .preprocessing import PartyMaterialStream
 from .program import (
@@ -81,6 +82,9 @@ def program_manifest(program: SecureProgram) -> dict:
     This is everything the client needs to execute its half of the
     protocol: op kinds, shapes and pooling geometry. The server's
     weights, biases and ring encodings stay out by construction.
+    ``material_stream`` names the dealer's draw order
+    (:data:`~repro.mpc.dealer.MATERIAL_STREAM`), so material generated
+    under another version never matches this program's fingerprint.
     """
     ops = []
     for op in program.ops:
@@ -111,6 +115,7 @@ def program_manifest(program: SecureProgram) -> dict:
         "frac_bits": program.config.frac_bits,
         "input_shape": list(program.input_shape),
         "output_shape": list(program.output_shape),
+        "material_stream": MATERIAL_STREAM,
         "ops": ops,
     }
 
@@ -119,8 +124,8 @@ def program_fingerprint(program: SecureProgram) -> str:
     """A stable, weight-free identity for a compiled program.
 
     Hash of the :func:`program_manifest` (op kinds, shapes, boundary,
-    fixed-point geometry) — everything that determines the program's
-    dealer-material consumption plan, and nothing that doesn't. Two
+    fixed-point geometry, material-stream version) — everything that
+    determines the program's dealer material, and nothing that doesn't. Two
     processes that compile the same architecture at the same boundary
     agree on the fingerprint without exchanging weights, which is how the
     crypto-producer service and a serving process establish they are

@@ -28,9 +28,9 @@ __all__ = [
     "reconstruct_additive",
     "share_boolean",
     "reconstruct_boolean",
+    "random_words",
     "share_boolean_words",
     "reconstruct_boolean_words",
-    "bit_decompose",
     "pack_bit_words",
     "unpack_bit_words",
 ]
@@ -41,9 +41,6 @@ __all__ = [
 COMPARISON_BITS = 63
 LOW63_MASK = np.uint64((1 << 63) - 1)
 
-# Hoisted bit-index constants: the per-call ``np.arange(63)`` allocations
-# the seed's hot paths performed are shared module-level state now.
-_BIT_POSITIONS = np.arange(64, dtype=np.uint64)
 _WORD_DTYPE = np.dtype("<u8")
 
 
@@ -81,20 +78,32 @@ def reconstruct_boolean(share0: np.ndarray, share1: np.ndarray) -> np.ndarray:
     )
 
 
-def share_boolean_words(
-    bits: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """XOR-share a ``(..., k)`` bit-plane array as packed uint64 words.
+def random_words(rng: np.random.Generator, shape) -> np.ndarray:
+    """Uniform 63-lane uint64 words: lanes 0..62 fair coins, lane 63 zero.
 
-    Draws exactly the random bits :func:`share_boolean` would draw for the
-    same bit-plane shape (one ``rng.integers`` call over ``bits.shape``),
-    so a dealer switching to packed emission consumes its random stream
-    identically — this is what keeps packed runs byte-identical to the
-    byte-per-bit seed implementation.
+    One full-range 64-bit draw per word with lane 63 masked off — the
+    bounded ``integers(0, 2**63)`` path is ~3x slower for the same bits.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
-    share0 = rng.integers(0, 2, size=bits.shape, dtype=np.uint8)
-    return pack_bit_words(share0), pack_bit_words((bits ^ share0).astype(np.uint8))
+    words = FixedPointConfig.random_ring(rng, shape)
+    return np.bitwise_and(words, LOW63_MASK, out=words)
+
+
+def share_boolean_words(
+    words: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """XOR-share packed 63-lane uint64 words (lane 63 zero).
+
+    Material stream v2: share 0 is one :func:`random_words` draw per
+    element and share 1 is the secret masked with it, so each share is a
+    uniform 63-lane word independent of the secret and lane 63 stays
+    zero in both. A secret with lane 63 set is refused — that lane would
+    travel unmasked.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    if words.size and words.max() > LOW63_MASK:
+        raise ValueError("boolean words must keep lane 63 zero")
+    share0 = random_words(rng, words.shape)
+    return share0, words ^ share0
 
 
 def reconstruct_boolean_words(share0: np.ndarray, share1: np.ndarray) -> np.ndarray:
@@ -102,16 +111,6 @@ def reconstruct_boolean_words(share0: np.ndarray, share1: np.ndarray) -> np.ndar
     return (np.asarray(share0, dtype=np.uint64) ^ np.asarray(share1, dtype=np.uint64)).astype(
         np.uint64
     )
-
-
-def bit_decompose(values: np.ndarray, bits: int) -> np.ndarray:
-    """Little-endian bit decomposition: result[..., i] is bit ``i``.
-
-    Used by the dealer to produce boolean shares of the comparison masks.
-    """
-    values = np.asarray(values, dtype=np.uint64)
-    positions = _BIT_POSITIONS[:bits]
-    return ((values[..., None] >> positions) & np.uint64(1)).astype(np.uint8)
 
 
 def pack_bit_words(bits: np.ndarray) -> np.ndarray:

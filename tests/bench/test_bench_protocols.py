@@ -65,6 +65,22 @@ class TestRegressionGate:
         failures = check_snapshot(fresh, snapshot, tolerance=DEFAULT_TOLERANCE)
         assert any("regressed" in failure for failure in failures)
 
+    def test_offline_regression_fails(self):
+        """An inflated serve offline_s fails the per-bundle budget; a
+        longer run at the same per-bundle cost passes it."""
+        report = small_bench()
+        report["serve"] = {"requests": 2, "offline_s": 0.05}
+        snapshot = copy.deepcopy(report)
+        fresh = copy.deepcopy(report)
+        fresh["serve"]["offline_s"] = 0.2
+        failures = check_snapshot(fresh, snapshot, tolerance=DEFAULT_TOLERANCE)
+        assert any(
+            "offline generation" in failure and "regressed" in failure
+            for failure in failures
+        )
+        fresh["serve"] = {"requests": 8, "offline_s": 0.2}
+        assert check_snapshot(fresh, snapshot) == []
+
     def test_byte_drift_fails(self):
         report = small_bench()
         snapshot = copy.deepcopy(report)
@@ -192,6 +208,33 @@ class TestServeGate:
         del report["placements"]["shared-memory"]
         failures = check_serve_snapshot(report, _serve_report())
         assert any("fell back" in f or "missing" in f for f in failures)
+
+
+class TestServeCheckReplaysSnapshot:
+    def test_check_runs_the_snapshot_request_count(self, tmp_path, monkeypatch):
+        """The logits hash covers the whole request stream: a check run
+        with the CLI's default --requests must still replay the
+        snapshot's length, or it reports drift on unchanged code."""
+        import json
+        from types import SimpleNamespace
+
+        import repro.bench.protocols as protocols
+
+        snapshot = dict(_serve_report(), requests=4)
+        path = tmp_path / "snapshot.json"
+        path.write_text(json.dumps(snapshot))
+        seen = []
+
+        def fake_placements(requests):
+            seen.append(requests)
+            return dict(_serve_report(), requests=requests)
+
+        monkeypatch.setattr(protocols, "bench_serve_placements", fake_placements)
+        args = SimpleNamespace(
+            requests=8, json=True, output=None, check=str(path), tolerance=None
+        )
+        assert protocols.run_serve_from_args(args) == 0
+        assert seen == [4]
 
 
 class TestCommittedServeSnapshot:

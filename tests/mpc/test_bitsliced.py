@@ -5,10 +5,11 @@ Four pillars of the uint64 packing refactor are pinned here:
 * **Kernel correctness** — the packed word kernels against a naive
   bit-loop reference, at ring-boundary values (0, +-1, 2^62, 2^63-1,
   -2^63) and under hypothesis-driven randomness;
-* **Byte-identity** — the packed dealer draws its randomness
-  bit-plane-wise exactly like the byte-per-bit seed implementation, so
-  the resnet20 smoke victim's logits (in-process *and* two-process
-  loopback) still hash to the pre-refactor values recorded below;
+* **Byte-identity** — the dealer's material stream v2 draws packed
+  63-lane words natively in a fixed order (replicated draw by draw
+  below), its material is uniform lane by lane, and the resnet20 smoke
+  victim's logits (in-process *and* two-process loopback) hash to the
+  v2 values recorded below;
 * **Cost-model exactness** — the per-label byte predictions in
   :mod:`repro.mpc.costs` equal both the Channel accounting and the
   measured socket payload of a real loopback run;
@@ -53,10 +54,10 @@ from repro.mpc.protocols.comparison import word_parity
 from repro.mpc.sharing import (
     COMPARISON_BITS,
     LOW63_MASK,
-    bit_decompose,
     pack_bit_words,
     reconstruct_additive,
     reconstruct_boolean,
+    reconstruct_boolean_words,
     share_additive,
     share_boolean_words,
     unpack_bit_words,
@@ -72,22 +73,21 @@ RING_BOUNDARY_VALUES = np.array(
     dtype=np.uint64,
 )
 
-# Pre-refactor pins for the resnet20 smoke victim (width 0.25, model seed
-# 0, boundary 3.5, pipeline seed 5, image rng(7)): recorded from the
-# byte-per-bit implementation at commit 90d2b8b, before the packed
-# circuit became the default. The packed engine must reproduce them
-# byte for byte.
+# Material stream v2 pins for the resnet20 smoke victim (width 0.25,
+# model seed 0, boundary 3.5, pipeline seed 5, image rng(7)). Every
+# serving path must reproduce them byte for byte; they may change only
+# together with ``MATERIAL_STREAM``.
 PINNED_RESNET20_LOGITS_SHA256 = (
-    "0af4b94574f1bb499b6985c92da31e03770f859dbee3f1326dc688c197f2fb9e"
+    "1b094e34901b66068c24a391ce3988f6bff07a609abb06917cbd69661c5fc2c6"
 )
 # Joint-engine boundary shares for vgg16 width 0.125, boundary 2.5,
-# dealer_seed 11, share_seed 5, image rng(7) — pins that even the *share*
-# stream (not just the reconstruction) survived the packing unchanged.
+# dealer_seed 11, share_seed 5, image rng(7) — pins the *share* stream,
+# not just the reconstruction.
 PINNED_VGG_SHARE0_SHA256 = (
-    "5f94325fd6d3ed46b3fbfb01c3efb89aeef192bef0d86c341df71724e349f52e"
+    "e4cbab542994034c9a0f6a8f675253a6162100d35c5ed4c18fc9eae2d9b21224"
 )
 PINNED_VGG_SHARE1_SHA256 = (
-    "1d9b62da89940eba026b5d00baf2d0a247e8652c99d4f694ece3e017efbd9ca4"
+    "664c8e6596cd983fefde8e0aa1d51cdf3daf233a698689d35adb32e1f3cda584"
 )
 
 
@@ -143,8 +143,14 @@ class TestPackedWords:
     def test_share_words_reconstruct(self):
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=(11, 63), dtype=np.uint8)
-        w0, w1 = share_boolean_words(bits, rng)
+        w0, w1 = share_boolean_words(pack_bit_words(bits), rng)
         np.testing.assert_array_equal(w0 ^ w1, pack_bit_words(bits))
+
+    def test_share_words_refuse_lane_63(self):
+        with pytest.raises(ValueError, match="lane 63"):
+            share_boolean_words(
+                np.array([1 << 63], dtype=np.uint64), np.random.default_rng(0)
+            )
 
 
 class TestAgainstNaiveReference:
@@ -156,7 +162,7 @@ class TestAgainstNaiveReference:
         z = (grid_z.reshape(-1) & LOW63_MASK).astype(np.uint64)
         r = (grid_r.reshape(-1) & LOW63_MASK).astype(np.uint64)
         rng = np.random.default_rng(0)
-        r_words = share_boolean_words(bit_decompose(r, COMPARISON_BITS), rng)
+        r_words = share_boolean_words(r, rng)
         lt = public_less_than_shared(
             z, r_words, TrustedDealer(seed=0), Channel()
         )
@@ -173,7 +179,7 @@ class TestAgainstNaiveReference:
         rng = np.random.default_rng(seed)
         z = rng.integers(0, 1 << 63, size=(64,), dtype=np.uint64)
         r = rng.integers(0, 1 << 63, size=(64,), dtype=np.uint64)
-        r_words = share_boolean_words(bit_decompose(r, COMPARISON_BITS), rng)
+        r_words = share_boolean_words(r, rng)
         lt = public_less_than_shared(
             z, r_words, TrustedDealer(seed=seed), Channel()
         )
@@ -206,47 +212,51 @@ class TestAgainstNaiveReference:
         np.testing.assert_array_equal(reconstruct_additive(*ys), expected)
 
 
-class TestDealerDrawEquivalence:
-    """The packing must not move the dealer's random stream.
+def _reference_words(reference: np.random.Generator, shape) -> np.ndarray:
+    """Material stream v2's word draw, replicated: one full-range uint64
+    per element with lane 63 masked off."""
+    return reference.integers(0, 1 << 64, size=shape, dtype=np.uint64) & LOW63_MASK
 
-    The packed ``bit_triples``/``comparison_masks`` draw bit-planes with
-    the exact ``rng.integers`` calls the byte-per-bit seed implementation
-    made, then pack — this is what keeps every arithmetic draw (and hence
-    every truncation rounding, and hence the logits) byte-identical.
+
+class TestDealerDrawEquivalence:
+    """Material stream v2's draw order, replicated draw by draw.
+
+    ``bit_triples`` draws ``a``, ``b`` and the share-0 words of a, b and
+    ``c = a & b`` as one 63-lane word per element; ``comparison_masks``
+    draws ``r``, r's additive share 0, the share-0 word of its low 63
+    bits, then the MSB share-0 bits. Pinning the order pins every later
+    arithmetic draw (and hence every truncation rounding and the logits).
     """
 
-    def test_bit_triples_draw_bit_planes(self):
+    def test_bit_triples_draw_words(self):
         triple = TrustedDealer(seed=123).bit_triples((5,))
         reference = np.random.default_rng(123)
-        a = reference.integers(0, 2, size=(5, 63), dtype=np.uint8)
-        b = reference.integers(0, 2, size=(5, 63), dtype=np.uint8)
-        c = (a & b).astype(np.uint8)
-        for packed_pair, bits in ((triple.a, a), (triple.b, b), (triple.c, c)):
-            share0 = reference.integers(0, 2, size=(5, 63), dtype=np.uint8)
-            np.testing.assert_array_equal(packed_pair[0], pack_bit_words(share0))
-            np.testing.assert_array_equal(
-                packed_pair[1], pack_bit_words((bits ^ share0).astype(np.uint8))
-            )
+        a = _reference_words(reference, (5,))
+        b = _reference_words(reference, (5,))
+        for pair, secret in ((triple.a, a), (triple.b, b), (triple.c, a & b)):
+            share0 = _reference_words(reference, (5,))
+            np.testing.assert_array_equal(pair[0], share0)
+            np.testing.assert_array_equal(pair[1], secret ^ share0)
 
-    def test_arithmetic_draws_unmoved_by_boolean_requests(self):
+    def test_arithmetic_draws_follow_boolean_requests(self):
         """A beaver triple drawn after boolean material matches a replica
-        of the seed implementation's stream position."""
+        of the v2 stream position."""
         dealer = TrustedDealer(seed=7)
         dealer.bit_triples((3,))
         dealer.comparison_masks((4,))
         triple = dealer.beaver_triples((8,))
 
         reference = np.random.default_rng(7)
-        for _ in range(5):  # bit triple: a, b + the three share draws
-            reference.integers(0, 2, size=(3, 63), dtype=np.uint8)
+        for _ in range(5):  # bit triple: a, b + the three share-0 words
+            _reference_words(reference, (3,))
         FixedPointConfig.random_ring(reference, (4,))  # comparison mask r
         FixedPointConfig.random_ring(reference, (4,))  # r's additive share0
-        reference.integers(0, 2, size=(4, 63), dtype=np.uint8)  # low share0
+        _reference_words(reference, (4,))  # low-bits share0 word
         reference.integers(0, 2, size=(4,), dtype=np.uint8)  # msb share0
         a = FixedPointConfig.random_ring(reference, (8,))
         np.testing.assert_array_equal(reconstruct_additive(*triple.a), a)
 
-    def test_joint_engine_shares_match_pre_refactor_pin(self):
+    def test_joint_engine_shares_match_stream_v2_pin(self):
         from repro.models import vgg16
 
         victim = vgg16(width_mult=0.125, rng=np.random.default_rng(0)).eval()
@@ -264,6 +274,90 @@ class TestDealerDrawEquivalence:
         assert _sha256(result.shares[1]) == PINNED_VGG_SHARE1_SHA256
 
 
+# Distribution check for v2 material: byte pins cannot catch a biased
+# draw, lane frequencies can. Over DISTRIBUTION_WORDS words a fair lane's
+# frequency has standard deviation 0.5 / sqrt(65536) ~= 0.002, so the
+# tolerance sits at ~5 sigma — far from a fair draw, far below a stuck
+# lane's 0.5 deviation.
+DISTRIBUTION_WORDS = 1 << 16
+LANE_TOLERANCE = 0.01
+
+
+def _lane_defects(words: np.ndarray) -> list[str]:
+    """Why ``words`` are not uniform 63-lane words (empty when they are)."""
+    lanes = unpack_bit_words(words.reshape(-1), 64)
+    defects = []
+    if lanes[:, 63].any():
+        defects.append("lane 63 set")
+    frequency = lanes[:, :COMPARISON_BITS].mean(axis=0)
+    for lane in np.flatnonzero(np.abs(frequency - 0.5) > LANE_TOLERANCE):
+        defects.append(f"lane {lane} frequency {frequency[lane]:.4f}")
+    return defects
+
+
+def _stream_defects(seed: int = 31) -> dict[str, list[str]]:
+    """Lane defects of every share word one dealer emits, by array name."""
+    dealer = TrustedDealer(seed=seed)
+    triple = dealer.bit_triples((DISTRIBUTION_WORDS,))
+    mask = dealer.comparison_masks((DISTRIBUTION_WORDS,))
+    arrays = {
+        f"{name}[{party}]": pair[party]
+        for name, pair in (
+            ("a", triple.a),
+            ("b", triple.b),
+            ("c", triple.c),
+            ("low_bits", mask.low_bits),
+        )
+        for party in (0, 1)
+    }
+    return {name: _lane_defects(words) for name, words in arrays.items()}
+
+
+class TestMaterialStreamDistribution:
+    """v2 material is correct and uniform lane by lane."""
+
+    def test_bit_triples_hold_on_every_lane(self):
+        triple = TrustedDealer(seed=17).bit_triples((4096,))
+        a = reconstruct_boolean_words(*triple.a)
+        b = reconstruct_boolean_words(*triple.b)
+        c = reconstruct_boolean_words(*triple.c)
+        np.testing.assert_array_equal(c, a & b)
+        for pair in (triple.a, triple.b, triple.c):
+            for share in pair:
+                assert share.dtype == np.uint64
+                assert not (share >> np.uint64(63)).any()
+
+    def test_comparison_mask_low_bits_are_r_low63(self):
+        mask = TrustedDealer(seed=18).comparison_masks((4096,))
+        r = reconstruct_additive(*mask.r_shares)
+        np.testing.assert_array_equal(
+            reconstruct_boolean_words(*mask.low_bits), r & LOW63_MASK
+        )
+        np.testing.assert_array_equal(
+            reconstruct_boolean(*mask.msb), (r >> np.uint64(63)).astype(np.uint8)
+        )
+
+    def test_every_share_is_uniform_per_lane(self):
+        defects = _stream_defects()
+        assert not any(defects.values()), defects
+
+    def test_planted_off_by_one_is_caught(self, monkeypatch):
+        """Drawing from [0, 2**62) leaves lane 62 stuck at zero."""
+        import repro.mpc.dealer as dealer_module
+        import repro.mpc.sharing as sharing_module
+
+        def biased_words(rng, shape):
+            half = LOW63_MASK >> np.uint64(1)
+            return FixedPointConfig.random_ring(rng, shape) & half
+
+        monkeypatch.setattr(dealer_module, "random_words", biased_words)
+        monkeypatch.setattr(sharing_module, "random_words", biased_words)
+        defects = _stream_defects()
+        # a and b are biased secrets; every share-0 word is biased too.
+        for name in ("a[0]", "b[0]", "c[0]", "low_bits[0]"):
+            assert defects[name] == ["lane 62 frequency 0.0000"], name
+
+
 @pytest.fixture(scope="module")
 def resnet_victim():
     from repro.serve.remote import _demo_victim
@@ -278,7 +372,7 @@ def resnet_image():
 
 class TestLogitsPin:
     """Acceptance pin: packed-circuit logits byte-identical to the
-    pre-refactor path, in-process and over the two-process loopback."""
+    stream v2 pin, in-process and over the two-process loopback."""
 
     def test_in_process_pipeline_logits(self, resnet_victim, resnet_image):
         from repro.core import C2PIPipeline

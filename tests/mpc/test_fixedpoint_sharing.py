@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.mpc import FixedPointConfig, bit_decompose
+from repro.mpc import FixedPointConfig, unpack_bit_words
 from repro.mpc.sharing import (
     reconstruct_additive,
     reconstruct_boolean,
@@ -93,14 +93,14 @@ class TestSharing:
         f_ones = (s0_ones >> np.uint64(63)).mean()
         assert abs(f_zeros - 0.5) < 0.02 and abs(f_ones - 0.5) < 0.02
 
-    def test_bit_decompose_little_endian(self):
-        bits = bit_decompose(np.array([0b1011], dtype=np.uint64), 5)
+    def test_unpack_bit_words_little_endian(self):
+        bits = unpack_bit_words(np.array([0b1011], dtype=np.uint64), 5)
         np.testing.assert_array_equal(bits[0], [1, 1, 0, 1, 0])
 
     @given(st.integers(0, 2**63 - 1))
     @settings(max_examples=40, deadline=None)
-    def test_bit_decompose_reconstructs(self, value):
-        bits = bit_decompose(np.array([value], dtype=np.uint64), 63)
+    def test_unpack_bit_words_reconstructs(self, value):
+        bits = unpack_bit_words(np.array([value], dtype=np.uint64), 63)
         recomposed = sum(int(b) << i for i, b in enumerate(bits[0]))
         assert recomposed == value
 

@@ -22,7 +22,6 @@ from repro.mpc.protocols import (
 )
 from repro.mpc.sharing import (
     LOW63_MASK,
-    bit_decompose,
     pack_bit_words,
     reconstruct_additive,
     reconstruct_boolean,
@@ -64,7 +63,10 @@ class TestBeaver:
         a = rng.integers(0, 2, size=(128, 63), dtype=np.uint8)
         b = rng.integers(0, 2, size=(128, 63), dtype=np.uint8)
         zs = boolean_and(
-            share_boolean_words(a, rng), share_boolean_words(b, rng), dealer, channel
+            share_boolean_words(pack_bit_words(a), rng),
+            share_boolean_words(pack_bit_words(b), rng),
+            dealer,
+            channel,
         )
         expected = pack_bit_words((a & b).astype(np.uint8))
         np.testing.assert_array_equal(reconstruct_boolean_words(*zs), expected)
@@ -72,7 +74,7 @@ class TestBeaver:
     def test_boolean_and_payload_is_raw_word_bytes(self):
         dealer, channel, rng = setup(1)
         bits = rng.integers(0, 2, size=(64, 63), dtype=np.uint8)
-        shares = share_boolean_words(bits, rng)
+        shares = share_boolean_words(pack_bit_words(bits), rng)
         boolean_and(shares, shares, dealer, channel)
         # (d, e) words both ways: 2 * 2 * 8 bytes per element, one round.
         assert channel.total_bytes == 2 * 2 * 8 * 64
@@ -86,14 +88,14 @@ class TestComparison:
         dealer, channel, rng = setup(seed)
         z = rng.integers(0, 2**63, size=(50,), dtype=np.uint64)
         r = rng.integers(0, 2**63, size=(50,), dtype=np.uint64)
-        r_words = share_boolean_words(bit_decompose(r, 63), rng)
+        r_words = share_boolean_words(r, rng)
         lt = public_less_than_shared(z & LOW63_MASK, r_words, dealer, channel)
         np.testing.assert_array_equal(reconstruct_boolean(*lt), (z < r).astype(np.uint8))
 
     def test_less_than_equal_values_is_false(self):
         dealer, channel, rng = setup(3)
         z = rng.integers(0, 2**63, size=(20,), dtype=np.uint64)
-        r_words = share_boolean_words(bit_decompose(z, 63), rng)
+        r_words = share_boolean_words(z, rng)
         lt = public_less_than_shared(z & LOW63_MASK, r_words, dealer, channel)
         np.testing.assert_array_equal(reconstruct_boolean(*lt), 0)
 
@@ -103,7 +105,7 @@ class TestComparison:
         r = rng.integers(0, 2**63, size=(4,), dtype=np.uint64)
         public_less_than_shared(
             z & LOW63_MASK,
-            share_boolean_words(bit_decompose(r, 63), rng),
+            share_boolean_words(r, rng),
             dealer,
             channel,
         )

@@ -13,9 +13,14 @@ The acceptance contract of the standalone dealer process:
   (counted in metrics, logits byte-identical), or — with fallback
   disabled — surfaces as a typed retriable busy reply that leaves the
   session connection alive;
-* pool accounting balances across all of it.
+* pool accounting balances across all of it;
+* material from another material-stream version is never served: the
+  version is part of the program fingerprint, which keys the store and
+  the handshake.
 """
 
+import hashlib
+import json
 import os
 import signal
 import socket
@@ -27,6 +32,8 @@ import numpy as np
 import pytest
 
 from repro.mpc.chaos import ChaosController, FaultSpec
+from repro.mpc.dealer import MATERIAL_STREAM
+from repro.mpc.party import program_fingerprint, program_manifest
 from repro.mpc.pool_store import PoolStore
 from repro.mpc.preprocessing import unpack_party_bundle
 from repro.mpc.program import compile_program
@@ -36,6 +43,7 @@ from repro.serve.dealer_service import (
     DealerError,
     DealerServer,
     _unpack_record,
+    stream_key,
 )
 from repro.serve.remote import (
     PoolBusy,
@@ -206,6 +214,72 @@ def _assert_records_equal(record, reference):
                 assert np.array_equal(item.arrays[key], array_ref), (
                     item.method, key,
                 )
+
+
+def _v1_fingerprint(program):
+    """The fingerprint the program had under material stream v1, whose
+    manifest carried no ``material_stream`` field."""
+    manifest = program_manifest(program)
+    manifest.pop("material_stream", None)
+    canonical = json.dumps(manifest, sort_keys=True)
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
+class TestMaterialStreamVersion:
+    def test_manifest_names_the_stream_version(self, program):
+        assert program_manifest(program)["material_stream"] == MATERIAL_STREAM
+        assert program_fingerprint(program) != _v1_fingerprint(program)
+
+    def test_v1_keyed_store_is_never_served(self, program, tmp_path):
+        """A store filled under the v1 key yields no hit for a v2 dealer:
+        it generates fresh, byte-identical to a store-less dealer."""
+        donor = _start_dealer(program)
+        donor_client = DealerClient("127.0.0.1", donor.port)
+        try:
+            # A well-formed record from another stream stands in for v1
+            # material of the same program.
+            planted = donor_client.fetch(1, 99, 0)
+        finally:
+            donor_client.close()
+            donor.stop()
+        store = PoolStore(tmp_path)
+        store.put(stream_key(_v1_fingerprint(program), 1, 7), 0, planted)
+        dealer = _start_dealer(program, store=store)
+        client = DealerClient("127.0.0.1", dealer.port)
+        fresh = _start_dealer(program)
+        witness = DealerClient("127.0.0.1", fresh.port)
+        try:
+            record = client.fetch(1, 7, 0)
+            stats = client.stats()
+            assert stats["served_from_store"] == 0
+            assert stats["bundles_generated"] == 1
+            _assert_records_equal(record, witness.fetch(1, 7, 0))
+        finally:
+            client.close()
+            witness.close()
+            dealer.stop()
+            fresh.stop()
+            store.close()
+
+    def test_v1_fingerprint_client_is_refused(self, program):
+        dealer = _start_dealer(program)
+        stale = DealerClient(
+            "127.0.0.1", dealer.port, fingerprint=_v1_fingerprint(program),
+            timeout=2.0,
+        )
+        current = DealerClient(
+            "127.0.0.1", dealer.port, fingerprint=program_fingerprint(program),
+            timeout=2.0,
+        )
+        try:
+            with pytest.raises(DealerError, match="fingerprint-mismatch"):
+                stale.fetch(1, 7, 0)
+            assert stale.rpc_retries == 0
+            assert current.fetch(1, 7, 0)
+        finally:
+            stale.close()
+            current.close()
+            dealer.stop()
 
 
 class TestWarmRefusal:
